@@ -609,11 +609,19 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 				// Within-mode connection for tolerance-based counting).
 				dists, err = e.partnerCountDistances(conn, space, workers)
 			} else {
-				out := make([]float64, len(space.pairs))
+				// Bind outside the worker pool: the bound sides are
+				// shared read-only by every chunk and die with this
+				// computation.
+				var bc *dataset.BoundConnection
+				bc, err = conn.Bind(space.tables[0], space.tables[1], e.reg)
+				if err != nil {
+					return nil, err
+				}
+				dists = make([]float64, len(space.pairs))
 				err = parallelFor(len(space.pairs), workers, itemChunk, func(from, to int) error {
-					return join.ConnDistancesRange(conn, space.tables[0], space.tables[1], space.pairs, out, from, to, e.reg)
+					join.ConnDistancesRange(bc, space.pairs, dists, from, to)
+					return nil
 				})
-				dists = out
 			}
 			if err != nil {
 				return nil, err
@@ -673,7 +681,7 @@ func (e *Engine) partnerCountDistances(conn dataset.Connection, space *itemSpace
 		other, err = e.cat.Table(conn.Right)
 	case conn.Right:
 		// Reverse the connection so the FROM table sits on the left.
-		conn = reverseConnection(conn)
+		conn = conn.Reversed()
 		other, err = e.cat.Table(conn.Right)
 	default:
 		return nil, fmt.Errorf("core: connection %q does not touch table %s", conn.Name, table.Name())
@@ -681,23 +689,20 @@ func (e *Engine) partnerCountDistances(conn dataset.Connection, space *itemSpace
 	if err != nil {
 		return nil, err
 	}
+	bc, err := conn.Bind(table, other, e.reg)
+	if err != nil {
+		return nil, err
+	}
 	// Each left row scans the partner relation independently; chunk the
 	// O(n·m) count across the worker pool.
 	counts := make([]int, table.NumRows())
 	if err := parallelFor(len(counts), workers, 16, func(from, to int) error {
-		return join.PartnerCountsRange(conn, table, other, 0, counts, from, to, e.reg)
+		join.PartnerCountsRange(bc, 0, counts, from, to)
+		return nil
 	}); err != nil {
 		return nil, err
 	}
 	return join.PartnerDistances(counts), nil
-}
-
-// reverseConnection swaps the sides of a connection.
-func reverseConnection(c dataset.Connection) dataset.Connection {
-	c.Left, c.Right = c.Right, c.Left
-	c.LeftAttr, c.RightAttr = c.RightAttr, c.LeftAttr
-	c.LeftAttr2, c.RightAttr2 = c.RightAttr2, c.LeftAttr2
-	return c
 }
 
 // booleanLeaf builds a leaf from exact boolean evaluation: satisfied

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // parallelFor runs fn over the index range [0, n) split into contiguous
@@ -54,10 +56,10 @@ func parallelFor(n, workers, minChunk int, fn func(lo, hi int) error) error {
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		par.Go(func() {
 			defer wg.Done()
 			work()
-		}()
+		})
 	}
 	work()
 	wg.Wait()

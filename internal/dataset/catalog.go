@@ -87,11 +87,16 @@ func (c Connection) Validate() error {
 // modeApply turns a raw absolute difference into the connection's
 // distance according to Mode and Param.
 func (c Connection) modeApply(absDelta float64) float64 {
-	switch c.Mode {
+	return applyMode(c.Mode, c.paramBase(), absDelta)
+}
+
+// applyMode is modeApply with Param already in base units.
+func applyMode(mode ConnMode, param, absDelta float64) float64 {
+	switch mode {
 	case ModeTarget:
-		return math.Abs(absDelta - c.paramBase())
+		return math.Abs(absDelta - param)
 	case ModeWithin:
-		d := absDelta - c.paramBase()
+		d := absDelta - param
 		if d < 0 {
 			return 0
 		}
@@ -110,9 +115,19 @@ func (c Connection) paramBase() float64 {
 	return c.Param
 }
 
+// defaultRegistry resolves string distances for callers that pass a
+// nil registry. It holds only the built-in functions and is never
+// modified.
+var defaultRegistry = distance.NewRegistry()
+
 // Distance scores rows li of lt against ri of rt. Null join attributes
-// yield NaN (uncolorable). reg resolves string distances and may be nil
-// for non-string metrics.
+// yield NaN (uncolorable). reg resolves string distances; nil selects
+// the built-in functions.
+//
+// Distance is the per-pair reference definition of a connection: it
+// looks both rows up by attribute name and resolves the string
+// function on every call. Scoring loops use Bind instead, which does
+// that work once and is tested bit-identical to Distance.
 func (c Connection) Distance(lt, rt *Table, li, ri int, reg *distance.Registry) (float64, error) {
 	switch c.Metric {
 	case MetricGeo:
@@ -155,7 +170,7 @@ func (c Connection) Distance(lt, rt *Table, li, ri int, reg *distance.Registry) 
 			name = "edit"
 		}
 		if reg == nil {
-			reg = distance.NewRegistry()
+			reg = defaultRegistry
 		}
 		f, err := reg.String(name)
 		if err != nil {
@@ -176,6 +191,132 @@ func (c Connection) Distance(lt, rt *Table, li, ri int, reg *distance.Registry) 
 		}
 		return c.modeApply(math.Abs(a - b)), nil
 	}
+}
+
+// Reversed swaps the sides of the connection, so that its Right table
+// sits on the left.
+func (c Connection) Reversed() Connection {
+	c.Left, c.Right = c.Right, c.Left
+	c.LeftAttr, c.RightAttr = c.RightAttr, c.LeftAttr
+	c.LeftAttr2, c.RightAttr2 = c.RightAttr2, c.LeftAttr2
+	return c
+}
+
+// BoundConnection is a connection bound to its two tables: the join
+// attributes of both sides materialized once as typed slices, the
+// string function and the mode parameter resolved. Its Distance scores
+// a pair without lookups or allocation.
+//
+// Bind once per leaf computation and drop the result with it: a
+// BoundConnection holds O(rows) copies of the join attributes and no
+// other state, so nothing outlives it. Distance is safe for concurrent
+// use.
+type BoundConnection struct {
+	metric ConnMetric
+	mode   ConnMode
+	param  float64 // Param in base units (seconds for time)
+	nl, nr int
+	// Numeric and time metrics: lf/rf hold the attributes, NaN where
+	// null or not coercible. Geo: lf/rf hold latitudes, lf2/rf2
+	// longitudes.
+	lf, rf, lf2, rf2 []float64
+	// String metric: ls/rs hold the attributes as strings, lok/rok
+	// whether the value is non-null.
+	ls, rs   []string
+	lok, rok []bool
+	str      distance.StringFunc
+}
+
+// Bind resolves the connection against lt (its left side) and rt (its
+// right side). reg resolves string distances; nil selects the built-in
+// functions. Unlike Distance, which reports an unknown string function
+// only when it meets a pair of non-null strings, Bind reports it
+// up front.
+func (c Connection) Bind(lt, rt *Table, reg *distance.Registry) (*BoundConnection, error) {
+	b := &BoundConnection{metric: c.Metric, mode: c.Mode, param: c.paramBase(),
+		nl: lt.NumRows(), nr: rt.NumRows()}
+	var err error
+	switch c.Metric {
+	case MetricString:
+		name := c.StringDist
+		if name == "" {
+			name = "edit"
+		}
+		if reg == nil {
+			reg = defaultRegistry
+		}
+		if b.str, err = reg.String(name); err != nil {
+			return nil, err
+		}
+		if b.ls, b.lok, err = stringsOf(lt, c.LeftAttr); err != nil {
+			return nil, err
+		}
+		if b.rs, b.rok, err = stringsOf(rt, c.RightAttr); err != nil {
+			return nil, err
+		}
+	case MetricGeo:
+		if b.lf2, err = lt.FloatsOf(c.LeftAttr2); err != nil {
+			return nil, err
+		}
+		if b.rf2, err = rt.FloatsOf(c.RightAttr2); err != nil {
+			return nil, err
+		}
+		fallthrough
+	default:
+		if b.lf, err = lt.FloatsOf(c.LeftAttr); err != nil {
+			return nil, err
+		}
+		if b.rf, err = rt.FloatsOf(c.RightAttr); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// LeftRows returns the row count of the bound left side.
+func (b *BoundConnection) LeftRows() int { return b.nl }
+
+// RightRows returns the row count of the bound right side.
+func (b *BoundConnection) RightRows() int { return b.nr }
+
+// Distance scores left row li against right row ri, bit-identical to
+// Connection.Distance on the bound tables. Rows must be in range.
+func (b *BoundConnection) Distance(li, ri int) float64 {
+	var d float64
+	switch b.metric {
+	case MetricString:
+		if !b.lok[li] || !b.rok[ri] {
+			return math.NaN()
+		}
+		d = b.str(b.ls[li], b.rs[ri])
+	case MetricGeo:
+		lat1, lon1, lat2, lon2 := b.lf[li], b.lf2[li], b.rf[ri], b.rf2[ri]
+		if anyNaN(lat1, lon1, lat2, lon2) {
+			return math.NaN()
+		}
+		d = distance.Haversine(lat1, lon1, lat2, lon2)
+	default:
+		x, y := b.lf[li], b.rf[ri]
+		if math.IsNaN(x) || math.IsNaN(y) {
+			return math.NaN()
+		}
+		d = math.Abs(x - y)
+	}
+	return applyMode(b.mode, b.param, d)
+}
+
+// stringsOf materializes the named column with the Value.AsString
+// coercion: ok[i] is false where the value is null.
+func stringsOf(t *Table, name string) ([]string, []bool, error) {
+	c, err := t.Column(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	ss, ok := make([]string, c.Len()), make([]bool, c.Len())
+	for i := range ss {
+		ss[i], ok[i] = c.Value(i).AsString()
+	}
+	return ss, ok, nil
 }
 
 func tableFloat(t *Table, row int, attr string) (float64, error) {

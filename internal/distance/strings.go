@@ -84,35 +84,95 @@ func longestCommonSubstring(a, b string) int {
 	return best
 }
 
-// Edit is the Levenshtein edit distance (unit costs).
+// Edit is the Levenshtein edit distance (unit costs) over bytes. It
+// allocates nothing for operands whose shorter side is at most
+// editStackRow bytes: up to 64 bytes it runs the Myers/Hyyrö
+// bit-parallel algorithm, one machine word per column of the longer
+// operand; beyond that it runs the two-row dynamic program on stack
+// rows. It is safe for concurrent use.
 func Edit(a, b string) float64 {
 	if a == b {
 		return 0
 	}
-	la, lb := len(a), len(b)
-	if la == 0 {
-		return float64(lb)
+	if len(a) > len(b) {
+		a, b = b, a
 	}
-	if lb == 0 {
-		return float64(la)
+	// a is now the shorter operand.
+	if len(a) == 0 {
+		return float64(len(b))
 	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
+	if len(a) <= 64 {
+		return float64(editBitParallel(a, b))
 	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		for j := 1; j <= lb; j++ {
+	return float64(editDP(a, b))
+}
+
+// editBitParallel is Hyyrö's formulation of Myers' bit-vector
+// Levenshtein algorithm: the vertical deltas of one DP column are two
+// 64-bit vectors (Pv: +1, Mv: −1) advanced one text byte at a time.
+// It requires 1 ≤ len(pat) ≤ 64. Bits above len(pat)−1 carry garbage
+// but never influence lower bits (additions and left shifts only carry
+// upward), and only bit len(pat)−1 is read.
+func editBitParallel(pat, text string) int {
+	var peq [256]uint64
+	for i := 0; i < len(pat); i++ {
+		peq[pat[i]] |= 1 << uint(i)
+	}
+	last := uint64(1) << uint(len(pat)-1)
+	pv, mv := ^uint64(0), uint64(0)
+	score := len(pat)
+	for i := 0; i < len(text); i++ {
+		eq := peq[text[i]]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		// The top DP row is D[0][j] = j: every column shifts a +1
+		// horizontal delta into row 0.
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score
+}
+
+// editStackRow bounds the shorter operand of the dynamic-program
+// fallback that runs on stack rows; longer operands allocate.
+const editStackRow = 256
+
+// editDP is the two-row Levenshtein dynamic program with the rows
+// spanning the shorter operand a.
+func editDP(a, b string) int {
+	var stack [2 * (editStackRow + 1)]int
+	var prev, cur []int
+	if n := len(a) + 1; n <= editStackRow+1 {
+		prev, cur = stack[:n], stack[n:2*n]
+	} else {
+		rows := make([]int, 2*n)
+		prev, cur = rows[:n], rows[n:]
+	}
+	for i := range prev {
+		prev[i] = i
+	}
+	for j := 1; j <= len(b); j++ {
+		cur[0] = j
+		bj := b[j-1]
+		for i := 1; i <= len(a); i++ {
 			cost := 1
-			if a[i-1] == b[j-1] {
+			if a[i-1] == bj {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[i] = min3(prev[i]+1, cur[i-1]+1, prev[i-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
-	return float64(prev[lb])
+	return prev[len(a)]
 }
 
 // EditNormalized is Edit scaled by the longer length, mapping to [0,1].

@@ -97,26 +97,24 @@ func allPairs(nLeft, nRight, total int) []Pair {
 // ConnDistances scores each pair with the connection's distance. Null
 // join attributes yield NaN entries.
 func ConnDistances(conn dataset.Connection, lt, rt *dataset.Table, pairs []Pair, reg *distance.Registry) ([]float64, error) {
-	out := make([]float64, len(pairs))
-	if err := ConnDistancesRange(conn, lt, rt, pairs, out, 0, len(pairs), reg); err != nil {
+	bc, err := conn.Bind(lt, rt, reg)
+	if err != nil {
 		return nil, err
 	}
+	out := make([]float64, len(pairs))
+	ConnDistancesRange(bc, pairs, out, 0, len(pairs))
 	return out, nil
 }
 
 // ConnDistancesRange scores pairs[from:to] into out[from:to] — the
 // chunk form of ConnDistances used by the engine's worker pool; callers
-// on disjoint ranges may run concurrently.
-func ConnDistancesRange(conn dataset.Connection, lt, rt *dataset.Table, pairs []Pair, out []float64, from, to int, reg *distance.Registry) error {
+// on disjoint ranges may share one bound connection and run
+// concurrently.
+func ConnDistancesRange(bc *dataset.BoundConnection, pairs []Pair, out []float64, from, to int) {
 	for i := from; i < to; i++ {
 		p := pairs[i]
-		d, err := conn.Distance(lt, rt, p.Left, p.Right, reg)
-		if err != nil {
-			return fmt.Errorf("join: pair (%d,%d): %w", p.Left, p.Right, err)
-		}
-		out[i] = d
+		out[i] = bc.Distance(p.Left, p.Right)
 	}
-	return nil
 }
 
 // Equi computes the exact equality join on one attribute pair using a
@@ -157,30 +155,28 @@ func Equi(lt, rt *dataset.Table, lAttr, rAttr string) ([]Pair, error) {
 // join-partner distance of section 4.4 ("the user might use the inverse
 // of that number as the distance").
 func PartnerCounts(conn dataset.Connection, lt, rt *dataset.Table, eps float64, reg *distance.Registry) ([]int, error) {
-	out := make([]int, lt.NumRows())
-	if err := PartnerCountsRange(conn, lt, rt, eps, out, 0, len(out), reg); err != nil {
+	bc, err := conn.Bind(lt, rt, reg)
+	if err != nil {
 		return nil, err
 	}
+	out := make([]int, lt.NumRows())
+	PartnerCountsRange(bc, eps, out, 0, len(out))
 	return out, nil
 }
 
 // PartnerCountsRange counts partners for left rows [from, to) into
 // out[from:to] — the chunk form of PartnerCounts used by the engine's
-// worker pool; callers on disjoint ranges may run concurrently.
-func PartnerCountsRange(conn dataset.Connection, lt, rt *dataset.Table, eps float64, out []int, from, to int, reg *distance.Registry) error {
-	nr := rt.NumRows()
+// worker pool; callers on disjoint ranges may share one bound
+// connection and run concurrently.
+func PartnerCountsRange(bc *dataset.BoundConnection, eps float64, out []int, from, to int) {
+	nr := bc.RightRows()
 	for l := from; l < to; l++ {
 		for r := 0; r < nr; r++ {
-			d, err := conn.Distance(lt, rt, l, r, reg)
-			if err != nil {
-				return err
-			}
-			if !math.IsNaN(d) && d <= eps {
+			if d := bc.Distance(l, r); !math.IsNaN(d) && d <= eps {
 				out[l]++
 			}
 		}
 	}
-	return nil
 }
 
 // PartnerDistances maps PartnerCounts through distance.InverseCount.
@@ -205,14 +201,15 @@ func MinDistancePerLeft(conn dataset.Connection, lt, rt *dataset.Table, innerDis
 	if innerDist != nil && len(innerDist) != nr {
 		return nil, fmt.Errorf("join: innerDist has %d entries for %d right rows", len(innerDist), nr)
 	}
+	bc, err := conn.Bind(lt, rt, reg)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, nl)
 	for l := 0; l < nl; l++ {
 		best := math.NaN()
 		for r := 0; r < nr; r++ {
-			d, err := conn.Distance(lt, rt, l, r, reg)
-			if err != nil {
-				return nil, err
-			}
+			d := bc.Distance(l, r)
 			if math.IsNaN(d) {
 				continue
 			}

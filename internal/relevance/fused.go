@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // This file implements the chunk-fused evaluator behind Evaluate. The
@@ -350,10 +352,10 @@ func (c *fusedCtx) forChunks(fn func(wid, ci, lo, hi int)) {
 	}
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(wid int) {
+		par.Go(func() {
 			defer wg.Done()
-			work(wid)
-		}(w)
+			work(w)
+		})
 	}
 	work(0)
 	wg.Wait()
