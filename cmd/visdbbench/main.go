@@ -9,23 +9,8 @@
 //	visdbbench -out ""       # skip image output
 //	visdbbench -list         # list experiment ids
 //
-// The concurrent-traffic mode exercises the multi-tenant serving path
-// instead of the paper experiments: M goroutine sessions on one
-// catalog share a catalog-level predicate cache while each drives a
-// randomized interaction script, and the run reports throughput plus
-// the shared-tier hit/miss/singleflight counters:
-//
-//	visdbbench -concurrent 8 -steps 40 -rows 200000
-//
-// The same traffic can be driven through the visdbd serving layer to
-// measure the HTTP/JSON overhead against the in-process numbers:
-// -serve hosts the traffic catalog behind the protocol (blocking until
-// SIGINT), -remote replays the concurrent scripts against it through
-// the typed client and prints throughput plus the server's shard and
-// shared-tier counters:
-//
-//	visdbbench -serve :8491 -rows 200000 &
-//	visdbbench -remote http://localhost:8491 -concurrent 8 -steps 40
+// It is the paper-experiment runner only; the repository's performance
+// benchmark is visdbperf (see BENCHMARK.json).
 package main
 
 import (
@@ -42,58 +27,11 @@ func main() {
 		exp  = flag.String("exp", "all", "experiment id (f1a f1b f2 f3 f4 f5 c1 c2 c3 c4 a1 a2 a3) or 'all'")
 		out  = flag.String("out", "out", "directory for generated images (empty to skip)")
 		list = flag.Bool("list", false, "list experiments and exit")
-
-		concurrent = flag.Int("concurrent", 0, "concurrent-traffic mode: number of simultaneous sessions (0 runs the experiments)")
-		steps      = flag.Int("steps", 40, "interaction steps per session (concurrent/remote modes)")
-		rows       = flag.Int("rows", 200000, "catalog rows (concurrent/serve modes)")
-		seed       = flag.Int64("seed", 1994, "script and data seed (concurrent/serve/remote modes)")
-
-		serve  = flag.String("serve", "", "serve mode: host the traffic catalog behind the visdbd protocol on this address")
-		remote = flag.String("remote", "", "remote mode: drive the concurrent scripts against a visdbd at this base URL")
-		shards = flag.Int("shards", 2, "serving shards (serve mode)")
-
-		jsonOut  = flag.String("json", "", "json mode: run the interactive-loop benchmarks and write a machine-readable report to this path")
-		jsonRows = flag.Int("json-rows", 1_000_000, "catalog rows for the json benchmark mode")
-		floors   = flag.Bool("floors", false, "with -json: fail (exit 1) when the regression floors are violated (prune rate, warm<cold, cache attribution, sketch hits)")
-		disk     = flag.Bool("disk", false, "with -json: serve the benchmark catalog from an on-disk segment file through a bounded decoded-segment cache")
-		fleet    = flag.Bool("fleet", false, "with -json: also stand up a three-member routed fleet over a networked kv tier and report fleet-wide recalcs/s, step percentiles and shared-hit rate")
 	)
 	flag.Parse()
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut, *jsonRows, *seed, *floors, *disk, *fleet); err != nil {
-			fmt.Fprintln(os.Stderr, "visdbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, e := range experiments.Registry() {
 			fmt.Println(e.ID)
-		}
-		return
-	}
-	if *serve != "" {
-		if err := runServe(*serve, *shards, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "visdbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *remote != "" {
-		n := *concurrent
-		if n <= 0 {
-			n = 8
-		}
-		if err := runRemote(*remote, n, *steps, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "visdbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *concurrent > 0 {
-		if err := runConcurrent(*concurrent, *steps, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "visdbbench:", err)
-			os.Exit(1)
 		}
 		return
 	}

@@ -18,6 +18,11 @@
 //	go vet ./...
 //	go test -bench=. -benchmem          # repository benchmarks
 //	go test -run '^$' -bench SortRanking -benchtime=1x .  # CI smoke
+//	bash visdbperf/run.sh --workload all --seed 1 --seconds 25 --trace 0
+//
+// visdbperf (a nested module, declared in BENCHMARK.json) is the one
+// end-to-end performance benchmark: closed-loop analyst workloads that
+// report latency, throughput and, with --trace 1, the per-layer split.
 //
 // # Ranking: selection instead of sorting
 //
@@ -176,15 +181,16 @@
 //     display-path touches (slider first/last labels).
 //     StageTimings.SegsSkipped/Segs (wire: segs_skipped/segs)
 //     attribute it; Options.NoSegmentStats is the ablation gate, and
-//     the BENCH_9.json cold-scan floors fail CI if the pushdown
-//     silently deactivates.
+//     TestPushdownLockstepReplay fails if the pushdown silently
+//     deactivates (no segment skipped); the visdbperf drag workload
+//     reports dataset.segs_skipped_ratio.
 //   - Segment codecs. Int and time blobs are delta-coded
 //     (zigzag+uvarint over the word stream), float blobs
 //     xor-with-previous coded, behind the decoded-segment LRU so
 //     decode cost stays attributed to fileSource.decode; a codec is
 //     kept only when strictly smaller than the raw payload, blob CRCs
 //     cover the on-disk (compressed) bytes, and clustered columns
-//     shrink the file measurably (enforced as a bench floor).
+//     shrink the file measurably (asserted by the segment-stats tests).
 //
 // # Incremental interior normalization
 //
@@ -209,8 +215,9 @@
 // SharedCache's separate quarter-budget interior tier, so a second
 // session's first run already takes the fast path.
 // StageTimings.SketchHits/SketchRescans (and the wire timings)
-// attribute it; the BENCH_9.json floors fail CI if the sketch silently
-// deactivates or stops beating the sketchless baseline.
+// attribute it; the interior tests fail if the sketch silently
+// deactivates (no sketch hit, or a rescan of every chunk), and the
+// visdbperf drag workload reports core.sketch_hits.
 //
 // # Shared cache: serving many sessions on one catalog
 //
@@ -243,8 +250,8 @@
 // TestConcurrentSharedSessionsMatchFreshEngine (run under -race in CI)
 // asserts bitwise identity between shared-cache sessions and isolated
 // fresh engines at every step of randomized concurrent scripts;
-// BenchmarkConcurrentSessions and the visdbbench -concurrent traffic
-// mode measure the serving path.
+// BenchmarkConcurrentSessions and the visdbperf workloads measure the
+// serving path.
 //
 // Admission into the shared tier is cost-aware (core.SharedOptions):
 // only leaves whose measured compute time reaches AdmitMinCost
@@ -289,9 +296,9 @@
 // which TestRemoteReplayMatchesInProcess exploits to assert bitwise
 // identity between a remote session and a fresh in-process engine at
 // every step of a randomized script. The daemon drains in-flight
-// recalculations on SIGTERM before exiting; visdbbench -serve/-remote
-// measure the serving overhead against the in-process -concurrent
-// mode.
+// recalculations on SIGTERM before exiting. The visdbperf fleet
+// workload measures the serving path over loopback, with its traced
+// per-layer split (server, router and client self time).
 //
 // # Failure semantics
 //
@@ -504,11 +511,10 @@
 // repeats that over real visdbd/visdbrouter/visdbkv processes in CI;
 // TestFleetNodeKillRecovers kills a member mid-run and proves recovery
 // via the retry/recreate/replay contract with recalc-counter equality
-// against a fault-free mirror; visdbbench -json -fleet records the
-// fleet's recalcs/s, step-latency percentiles and sharing counters as
-// CI data with regression floors, and its node-kill phase kills a
-// live member under self-healing FleetSessions with floors requiring
-// recoveries > 0 and zero caller-visible errors.
+// against a fault-free mirror; TestFleetChaosSoakSelfHeals kills and
+// restarts members under self-healing FleetSessions and requires zero
+// caller-visible errors. The visdbperf fleet workload measures the
+// fleet end to end (router, three members and kv over loopback).
 //
 // Render artifacts under out/ are generated by visdbbench and the
 // examples; they are not tracked in git.

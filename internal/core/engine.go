@@ -239,8 +239,6 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		NaiveNormalize: e.opt.NaiveNormalize,
 		And:            e.opt.And,
 		LpP:            e.opt.LpP,
-		Parallel:       e.opt.Parallel,
-		Workers:        e.opt.Workers,
 		// Rank-before-scale: on the selection path the root's final
 		// monotonic transforms apply only to the top-k survivors, so
 		// the root is evaluated raw and deferred.

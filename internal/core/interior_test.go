@@ -98,6 +98,25 @@ func TestInteriorSketchWarmRerunBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, fref, warm2)
+
+	// Steady state: once the first reruns have built the sketch's
+	// indexes, a further drag must answer its normalization ranges with
+	// fewer re-scanned chunks than one full pass.
+	query.Predicates(q.Where)[1].SetWeight(2)
+	warm3, err := e.RunCached(q, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm3.Timings.SketchHits == 0 || warm3.Timings.Chunks != nchunks || warm3.Timings.SketchRescans >= nchunks {
+		t.Fatalf("steady-state rerun: hits %d, rescanned %d of %d chunks (Timings.Chunks %d)",
+			warm3.Timings.SketchHits, warm3.Timings.SketchRescans, nchunks, warm3.Timings.Chunks)
+	}
+	query.Predicates(qRef.Where)[1].SetWeight(2)
+	ref, err = e.Run(qRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, ref, warm3)
 }
 
 // TestInteriorSharedTierPromotion: a second session attached to the

@@ -53,9 +53,6 @@ type Options struct {
 	// NaiveNormalize disables reduction-first normalization (ablation
 	// A1).
 	NaiveNormalize bool
-	// Parallel evaluates sibling query parts concurrently; results are
-	// identical, only wall-clock changes.
-	Parallel bool
 	// MaxPairs caps the materialized cross product of multi-table
 	// queries; 0 means 1<<20.
 	MaxPairs int
@@ -79,7 +76,8 @@ type Options struct {
 	// Workers bounds the worker pool used for per-predicate distance
 	// computation (chunked across rows and across sibling predicates).
 	// 0 or negative selects runtime.GOMAXPROCS(0); 1 forces the serial
-	// path. Parallel and serial runs are bit-identical.
+	// path. Parallel and serial runs are bit-identical. It is the engine's
+	// one parallelism knob; the fused evaluation passes run serially.
 	Workers int
 	// NoInteriorSketch disables the incremental interior-normalization
 	// cache of cached runs (the ablation/benchmark baseline): interior

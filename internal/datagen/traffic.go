@@ -8,9 +8,8 @@ import (
 
 // TrafficQueries is the interaction workload that pairs with Traffic:
 // the session queries the randomized concurrent scripts rotate
-// through. One definition keeps the in-process traffic mode, the
-// remote bench driver and the server's replay-identity suite on the
-// exact same workload.
+// through. One definition keeps the visdbperf drag workload and the
+// fleet replay-identity suites on the exact same workload.
 func TrafficQueries() []string {
 	return []string{
 		`SELECT a FROM S WHERE a > 50 AND b < 40`,
@@ -19,8 +18,8 @@ func TrafficQueries() []string {
 	}
 }
 
-// Traffic generates the numeric catalog the concurrent-traffic and
-// serving workloads query: one table S with float attributes a, b, c
+// Traffic generates the numeric catalog the drag benchmark and the
+// serving tests query: one table S with float attributes a, b, c
 // drawn uniformly from [0, 100) plus a clustered attribute t that
 // ascends with the row index (i/rows*100 plus uniform [0,1) noise).
 // The uniform columns make every storage segment span nearly the full
@@ -31,7 +30,7 @@ func TrafficQueries() []string {
 // paper-scenario generators it plants nothing — the point is cheap,
 // deterministic bulk data whose leaf distances do real work at any row
 // count, so the same (rows, seed) pair always reproduces the exact
-// catalog on both ends of a client/server benchmark.
+// catalog on both ends of a client/server test.
 func Traffic(rows int, seed int64) (*dataset.Catalog, error) {
 	rng := rand.New(rand.NewSource(seed))
 	tbl, err := dataset.NewTable("S", dataset.Schema{

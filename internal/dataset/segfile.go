@@ -671,6 +671,11 @@ func OpenCatalogFile(path string, opts OpenOptions) (*Catalog, error) {
 	cat.corrupt = src.corruptErr
 	colID := 0
 	for _, tm := range ft.Tables {
+		if tm.Rows < 0 {
+			src.close()
+			return nil, fmt.Errorf("dataset: %s: table %q: negative row count %d: %w",
+				path, tm.Name, tm.Rows, ErrCorruptSegment)
+		}
 		schema := make(Schema, len(tm.Fields))
 		cols := make([]Column, len(tm.Fields))
 		for i, fm := range tm.Fields {
@@ -719,20 +724,22 @@ func OpenCatalogFile(path string, opts OpenOptions) (*Catalog, error) {
 			}
 			cols[i] = fc
 		}
+		// A footer no writer could have produced (an invalid schema, a
+		// duplicate table, a dangling connection) is corruption too.
 		if err := schema.Validate(); err != nil {
 			src.close()
-			return nil, fmt.Errorf("dataset: %s: table %q: %w", path, tm.Name, err)
+			return nil, fmt.Errorf("dataset: %s: table %q: %w: %w", path, tm.Name, err, ErrCorruptSegment)
 		}
 		t := &Table{name: tm.Name, schema: schema, cols: cols}
 		if err := cat.AddTable(t); err != nil {
 			src.close()
-			return nil, err
+			return nil, fmt.Errorf("dataset: %s: %w: %w", path, err, ErrCorruptSegment)
 		}
 	}
 	for _, conn := range ft.Connections {
 		if err := cat.AddConnection(conn); err != nil {
 			src.close()
-			return nil, err
+			return nil, fmt.Errorf("dataset: %s: %w: %w", path, err, ErrCorruptSegment)
 		}
 	}
 	return cat, nil
@@ -1102,7 +1109,9 @@ func (c *fileColumn) validate(table, field string, fileSize int64) error {
 			}
 			minLen = int64((rows+7)/8 + rows)
 		}
-		if loc.Off < int64(len(segMagic)) || loc.Len < minLen || loc.Off+loc.Len > fileSize {
+		// Len is compared against the room left after Off: Off+Len could
+		// wrap negative on a crafted footer and pass the check.
+		if loc.Off < int64(len(segMagic)) || loc.Len < minLen || loc.Len > fileSize-loc.Off {
 			return fmt.Errorf("dataset: table %q field %q segment %d: blob (%d,%d) out of bounds: %w",
 				table, field, si, loc.Off, loc.Len, ErrCorruptSegment)
 		}

@@ -99,8 +99,7 @@ func sameVec(t *testing.T, label string, a, b []float64) {
 // TestFusedMatchesReference: the chunk-fused evaluator must be
 // bit-identical to the node-at-a-time reference pipeline across random
 // trees and every option combination — combine modes, AND combiners,
-// naive and reduction-first normalization, serial and parallel chunk
-// execution.
+// naive and reduction-first normalization.
 func TestFusedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	optVariants := []EvalOptions{
@@ -110,7 +109,6 @@ func TestFusedMatchesReference(t *testing.T) {
 		{And: ANDEuclidean},
 		{And: ANDLp, LpP: 2},
 		{And: ANDLp, LpP: 3.5},
-		{Parallel: true, Workers: 4},
 	}
 	for trial := 0; trial < 40; trial++ {
 		// Cross the evalChunk boundary regularly so the chunked passes

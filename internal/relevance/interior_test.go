@@ -189,7 +189,6 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		{And: ANDLp, LpP: 3},
 		{LazyLeaves: true},
 		{LazyLeaves: true, DeferRoot: true},
-		{Parallel: true, Workers: 3},
 	}
 	for trial := 0; trial < 30; trial++ {
 		n := 50 + rng.Intn(2*evalChunk)
@@ -205,7 +204,17 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		if _, err := Evaluate(tree, n, cold); err != nil {
 			t.Fatal(err)
 		}
-		if tree.Op != Leaf && len(store) == 0 {
+		// Every evaluated interior node stores (and on a rerun fetches)
+		// an entry; a deferred root is not evaluated, so only its
+		// interior children do.
+		wantStore := tree.Op != Leaf
+		if wantStore && opts.DeferRoot && deferralSafe(tree, opts) {
+			wantStore = false
+			for _, c := range tree.Children {
+				wantStore = wantStore || c.Op != Leaf
+			}
+		}
+		if wantStore && len(store) == 0 {
 			t.Fatal("cold run stored no interior entries")
 		}
 		// Snapshot entry payloads to prove the warm run only borrows.
@@ -239,7 +248,7 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree.Op != Leaf {
+		if wantStore {
 			if fetches == 0 {
 				t.Fatal("warm run never consulted the cache")
 			}

@@ -165,8 +165,8 @@ func applyRange(dst, src []float64, p NormParams) {
 // correction uses, and the NaN count the rank-before-scale path uses
 // to attribute uncolorable items without materializing the scaled
 // vector. Chunked scans merge exactly (sums, min, max are
-// order-independent), so fused parallel passes stay bit-identical to
-// the serial scan.
+// order-independent), so the fused chunked passes stay bit-identical
+// to a single scan.
 type rangeScan struct {
 	nFinite, nNegInf, nNaN int
 	minFinite, maxFinite   float64

@@ -81,13 +81,6 @@ type EvalOptions struct {
 	And ANDCombiner
 	// LpP is the exponent for ANDLp (values < 1 error).
 	LpP float64
-	// Parallel runs the fused chunk passes concurrently (bounded by
-	// Workers). Results are identical to the sequential evaluation;
-	// only wall-clock changes.
-	Parallel bool
-	// Workers bounds the chunk-pass concurrency when Parallel is set;
-	// 0 selects GOMAXPROCS.
-	Workers int
 	// Alloc, when non-nil, provides the n-sized output buffers for the
 	// per-node scaled vectors (ByNode and Combined). It enables buffer
 	// pooling across reruns: the caller may hand back buffers of
