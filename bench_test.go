@@ -302,7 +302,7 @@ func reweightWorkload(b *testing.B, cat *dataset.Catalog, opt core.Options, sql 
 // over a ~1e6-pair approximate join, and edit-distance predicates (the
 // "complex distance functions" the paper's auto-recalculate-off option
 // existed for). The warm side serves every leaf vector — and its
-// normalization quantiles — from the session cache and writes into
+// normalization-range index — from the session cache and writes into
 // pooled buffers; cached and cold results are bit-identical
 // (TestInteractionScriptMatchesFreshEngine and the core cache tests).
 func BenchmarkReweight(b *testing.B) {

@@ -31,8 +31,8 @@
 // distance values are ever displayed, the engine ranks by selection by
 // default: internal/topk quickselects the display budget in expected
 // O(n) and relevance normalization finds its reduction range with a
-// bounded heap instead of a full sort. Two engine options control the
-// trade-off:
+// sampled band selection (one pass, no copy) instead of a full sort.
+// Two engine options control the trade-off:
 //
 //   - Options.FullSort: exact O(n log n) ranking of every item (the
 //     A-series ablations, exact quantiles; implied by Arrange2D).
@@ -53,8 +53,10 @@
 //     table, attribute, operator, literals, distance function, but NOT
 //     the weighting factor. A weight-only rerun recomputes no
 //     distances; a single-slider drag recomputes exactly one leaf.
-//     Hot leaves additionally get a sorted quantile index so the
-//     reduction-first normalization range for any weight is O(1).
+//     Hot leaves additionally get a range index: one O(n) scan plus a
+//     memo of the reduction-first normalization ranges already
+//     selected, so a weight-only rerun selects at most once, for the
+//     reweighted leaf.
 //     Keys embed table row counts, so entries never serve stale data;
 //     invalidation (per-condition on range edits, pruning on query
 //     replacement, an LRU cap) only bounds memory.
@@ -91,7 +93,7 @@
 //     (topk.StreamSelector).
 //   - Block pruning: per-chunk lower bounds on the raw combined value
 //     — folded from per-leaf chunk minima (relevance.LeafChunkStats,
-//     cached next to the quantile index) through the monotone child
+//     cached next to the range index) through the monotone child
 //     scalings — let the pass skip every chunk that provably cannot
 //     beat the running k-th candidate. The session carries the
 //     previous recalculation's k-th raw value as the seed threshold,
@@ -228,7 +230,7 @@
 //	private RunCache  →  catalog SharedCache  →  recompute
 //
 // The shared tier holds immutable leaf distance vectors and their
-// promoted quantile indexes under the same structural keys as the
+// promoted range indexes under the same structural keys as the
 // private tier, with singleflight fills (N sessions dragging the same
 // slider compute a leaf once) and LRU + byte-budget eviction. The
 // invalidation rules are asymmetric by design:
@@ -485,8 +487,10 @@
 // remote backend (core.SharedBackend) to every catalog's SharedCache:
 // a shared-tier miss consults the store before computing (only the
 // singleflight leader issues the network read), and admitted fills are
-// written back, so leaf vectors, quantile indexes and interior entries
-// computed on one member warm every member. Entries travel in the
+// written back, so leaf vectors and interior entries computed on one
+// member warm every member (leaf range and chunk indexes do not
+// travel: each member rebuilds them from the vector with one O(n)
+// scan, cheaper than a round trip). Entries travel in the
 // deterministic binary codec of internal/relevance (internal/binenc);
 // lookups degrade to a local recompute on any store error — the kv
 // tier can die without breaking serving. The store itself speaks a

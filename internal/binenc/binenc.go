@@ -134,13 +134,14 @@ func (r *Reader) Str() string {
 
 // F64s reads a count-prefixed float64 vector; count 0 returns nil. The
 // declared count is validated against the remaining bytes before
-// allocating, so a corrupt length cannot force a huge allocation.
+// allocating (by division, so the check cannot overflow where int is
+// 32 bits wide), so a corrupt length cannot force a huge allocation.
 func (r *Reader) F64s() []float64 {
 	n := int(r.U32())
 	if n == 0 || r.err != nil {
 		return nil
 	}
-	if len(r.b)-r.off < 8*n {
+	if n < 0 || n > (len(r.b)-r.off)/8 {
 		r.err = ErrTruncated
 		return nil
 	}
@@ -157,7 +158,7 @@ func (r *Reader) I32s() []int32 {
 	if n == 0 || r.err != nil {
 		return nil
 	}
-	if len(r.b)-r.off < 4*n {
+	if n < 0 || n > (len(r.b)-r.off)/4 {
 		r.err = ErrTruncated
 		return nil
 	}

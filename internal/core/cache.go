@@ -107,15 +107,15 @@ const maxInteriorEntries = 16
 type cacheEntry struct {
 	pd    *predicateData
 	dists []float64
-	// quant is the sorted quantile index over the leaf's distances,
-	// built on the entry's first hit: a leaf that recurs across reruns
-	// is hot, and the one-time O(n log n) sort buys O(1) normalization
-	// ranges for every subsequent weighting change.
+	// quant is the normalization-range index over the leaf's
+	// distances, built with the entry: one O(n) scan plus a memo of the
+	// ranges selected so far, so a rerun selects at most once per
+	// reweighted leaf and the cold run's range is already memoized.
 	quant *relevance.LeafQuantiles
-	// cstats is the per-chunk min/NaN index built together with quant:
-	// it feeds the block-pruning bounds of the rank-before-scale
-	// ranking, so warm reruns can skip whole chunks of root combine
-	// work.
+	// cstats is the per-chunk min/NaN index, built on the entry's first
+	// hit (a leaf that recurs across reruns is hot): it feeds the
+	// block-pruning bounds of the rank-before-scale ranking, so warm
+	// reruns can skip whole chunks of root combine work.
 	cstats *relevance.LeafChunkStats
 	// attr is the condition's attribute as written in the query (empty
 	// for non-condition leaves) — the handle for per-condition
@@ -273,9 +273,9 @@ func (c *RunCache) InteriorLen() int {
 }
 
 // leafIndexes bundles the per-leaf acceleration structures a fetch
-// returns: the quantile index (O(1) normalization ranges) and the
-// chunk stats (block-pruning bounds). Both are built together on a
-// leaf's first reuse and promoted to the shared tier.
+// returns: the range index (memoized normalization ranges), built with
+// the leaf, and the chunk stats (block-pruning bounds), built on its
+// first reuse and promoted to the shared tier.
 type leafIndexes struct {
 	quant  *relevance.LeafQuantiles
 	cstats *relevance.LeafChunkStats
@@ -295,8 +295,8 @@ func (c *RunCache) condFetch(key, attr, label string, needSigned bool, compute f
 		e.used = c.gen
 		pd, li := e.pd, leafIndexes{quant: e.quant, cstats: e.cstats}
 		c.mu.Unlock()
-		if li.quant == nil {
-			li = c.buildIndexes(key, pd.Raw)
+		if li.cstats == nil {
+			li.cstats = c.buildChunkStats(key, pd.Raw)
 		}
 		return pd, li, nil
 	}
@@ -307,8 +307,9 @@ func (c *RunCache) condFetch(key, attr, label string, needSigned bool, compute f
 		if err != nil {
 			return nil, leafIndexes{}, err
 		}
-		c.store(key, &cacheEntry{pd: pd, attr: attr, label: label}, false)
-		return pd, leafIndexes{}, nil
+		li := leafIndexes{quant: relevance.BuildLeafQuantiles(pd.Raw)}
+		c.store(key, &cacheEntry{pd: pd, quant: li.quant, attr: attr, label: label}, false)
+		return pd, li, nil
 	}
 	v, hit, err := shared.fetch(key, needSigned, func() (*sharedEntry, error) {
 		pd, err := compute()
@@ -337,8 +338,8 @@ func (c *RunCache) leafFetch(key, attr, label string, compute func() ([]float64,
 		e.used = c.gen
 		dists, li := e.dists, leafIndexes{quant: e.quant, cstats: e.cstats}
 		c.mu.Unlock()
-		if li.quant == nil {
-			li = c.buildIndexes(key, dists)
+		if li.cstats == nil {
+			li.cstats = c.buildChunkStats(key, dists)
 		}
 		return dists, li, nil
 	}
@@ -349,8 +350,9 @@ func (c *RunCache) leafFetch(key, attr, label string, compute func() ([]float64,
 		if err != nil {
 			return nil, leafIndexes{}, err
 		}
-		c.store(key, &cacheEntry{dists: dists, attr: attr, label: label}, false)
-		return dists, leafIndexes{}, nil
+		li := leafIndexes{quant: relevance.BuildLeafQuantiles(dists)}
+		c.store(key, &cacheEntry{dists: dists, quant: li.quant, attr: attr, label: label}, false)
+		return dists, li, nil
 	}
 	v, hit, err := shared.fetch(key, false, func() (*sharedEntry, error) {
 		dists, err := compute()
@@ -386,40 +388,35 @@ func (c *RunCache) store(key string, e *cacheEntry, sharedHit bool) {
 	c.evictLocked()
 }
 
-// buildIndexes resolves a hot leaf's acceleration indexes (quantiles +
-// chunk stats): reuse ones another session already promoted to the
-// shared tier, else build OUTSIDE the mutex — the O(n log n) sort must
-// not serialize the sibling leaf builds that share the cache — and
-// promote them. Two racing builders do redundant work; both results
-// are identical and the canonical (first promoted) one wins.
-func (c *RunCache) buildIndexes(key string, dists []float64) leafIndexes {
+// buildChunkStats resolves a hot leaf's chunk stats: reuse the ones
+// another session already promoted to the shared tier, else build them
+// — one O(n) scan, run OUTSIDE the mutex so it does not serialize the
+// sibling leaf builds that share the cache — and promote them. Two
+// racing builders do redundant work; both results are identical and
+// the canonical (first promoted) one wins.
+func (c *RunCache) buildChunkStats(key string, dists []float64) *relevance.LeafChunkStats {
 	c.mu.Lock()
 	shared := c.shared
 	c.mu.Unlock()
-	var li leafIndexes
+	var cs *relevance.LeafChunkStats
 	if shared != nil {
-		li.quant, li.cstats = shared.indexesOf(key)
-		if li.quant == nil {
-			// Another node in the fleet may already have paid the sort.
-			li.quant, li.cstats = shared.remoteIndexesOf(key)
-		}
+		cs = shared.chunkStatsOf(key)
 	}
-	if li.quant == nil {
-		li.quant = relevance.BuildLeafQuantiles(dists)
-		li.cstats = relevance.BuildLeafChunkStats(dists)
+	if cs == nil {
+		cs = relevance.BuildLeafChunkStats(dists)
 		if shared != nil {
-			li.quant, li.cstats = shared.attachIndexes(key, li.quant, li.cstats)
+			cs = shared.attachChunkStats(key, cs)
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
-		if e.quant != nil {
-			return leafIndexes{quant: e.quant, cstats: e.cstats}
+		if e.cstats != nil {
+			return e.cstats
 		}
-		e.quant, e.cstats = li.quant, li.cstats
+		e.cstats = cs
 	}
-	return li
+	return cs
 }
 
 // interiorFetch resolves an interior-normalization entry through the

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/binenc"
 	"repro/internal/dataset"
-	"repro/internal/relevance"
 )
 
 // SharedBackend is the pluggable remote tier behind a SharedCache: a
@@ -72,18 +72,20 @@ const (
 
 	sharedKindCond  = 1 // predicateData payload
 	sharedKindDists = 2 // bare distance vector (join/boolean/subquery)
-
-	// remoteIndexPrefix namespaces promoted leaf indexes (quantiles +
-	// chunk stats) in the remote store; leaf keys start with "C|", "J|",
-	// "B|", "S|" and interior keys with "I|", so the prefix collides
-	// with nothing.
-	remoteIndexPrefix = "Q|"
 )
 
+// errCorruptSharedEntry marks a remote value that is not a well-formed
+// envelope (truncation reports binenc.ErrTruncated instead). Either way
+// the caller counts a remote miss and computes locally.
+var errCorruptSharedEntry = errors.New("core: corrupt shared entry")
+
 // encodeSharedEntry serializes e for the remote tier, reporting ok =
-// false for entries that must not leave the process. The quantile and
-// chunk-stat indexes are not part of the envelope — they are promoted
-// separately under remoteIndexPrefix when some session builds them.
+// false for entries that must not leave the process. No leaf index is
+// part of the envelope: the range index built with the entry and the
+// chunk stats promoted on its first reuse are one O(n) scan of the
+// vector each, which every node rebuilds rather than fetch, and the
+// footer-synthesized chunk stats of a cold file-backed leaf
+// (predicateData.CStats) exist only alongside its pushdown state.
 func encodeSharedEntry(e *sharedEntry) ([]byte, bool) {
 	if e.pd != nil && e.pd.skip != nil {
 		return nil, false
@@ -102,9 +104,6 @@ func encodeSharedEntry(e *sharedEntry) ([]byte, bool) {
 		if pd.HasRange {
 			flags |= 1
 		}
-		if pd.CStats != nil {
-			flags |= 2
-		}
 		b = append(b, flags)
 		b = binenc.F64(b, pd.MinDB)
 		b = binenc.F64(b, pd.MaxDB)
@@ -113,11 +112,6 @@ func encodeSharedEntry(e *sharedEntry) ([]byte, bool) {
 		b = binenc.F64s(b, pd.Values)
 		b = binenc.F64s(b, pd.Raw)
 		b = binenc.F64s(b, pd.Signed)
-		if pd.CStats != nil {
-			// The synthesized chunk index rides along so a remote-warmed
-			// cold run still gets its block-pruning bounds.
-			b = relevance.AppendLeafChunkStats(b, pd.CStats)
-		}
 		return b, true
 	}
 	b = append(b, sharedKindDists)
@@ -129,19 +123,20 @@ func encodeSharedEntry(e *sharedEntry) ([]byte, bool) {
 
 // decodeSharedEntry reverses encodeSharedEntry. The returned entry has
 // no accounting fields set; the cache stamps bytes/used when admitting
-// it.
+// it. Every failure is binenc.ErrTruncated or errCorruptSharedEntry,
+// and an accepted value re-encodes to exactly the input bytes.
 func decodeSharedEntry(data []byte) (*sharedEntry, error) {
 	r := binenc.NewReader(data)
-	if ver := r.Byte(); ver != sharedEntryVersion {
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return nil, fmt.Errorf("core: shared-entry codec version %d", ver)
-	}
-	kind := r.Byte()
+	ver, kind := r.Byte(), r.Byte()
 	e := &sharedEntry{}
 	e.attr = r.Str()
 	e.label = r.Str()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if ver != sharedEntryVersion {
+		return nil, fmt.Errorf("%w: codec version %d", errCorruptSharedEntry, ver)
+	}
 	switch kind {
 	case sharedKindCond:
 		pd := &predicateData{}
@@ -149,6 +144,9 @@ func decodeSharedEntry(data []byte) (*sharedEntry, error) {
 		pd.Attr.Attr = r.Str()
 		pd.Attr.Kind = dataset.Kind(r.U32())
 		flags := r.Byte()
+		if flags&^1 != 0 {
+			return nil, fmt.Errorf("%w: flags %#x", errCorruptSharedEntry, flags)
+		}
 		pd.HasRange = flags&1 != 0
 		pd.MinDB = r.F64()
 		pd.MaxDB = r.F64()
@@ -157,21 +155,11 @@ func decodeSharedEntry(data []byte) (*sharedEntry, error) {
 		pd.Values = r.F64s()
 		pd.Raw = r.F64s()
 		pd.Signed = r.F64s()
-		if flags&2 != 0 {
-			cs, err := relevance.DecodeLeafChunkStats(r)
-			if err != nil {
-				return nil, err
-			}
-			pd.CStats = cs
-		}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if !r.Done() {
-			return nil, binenc.ErrTruncated
-		}
 		if len(pd.Values) != len(pd.Raw) || (pd.Signed != nil && len(pd.Signed) != len(pd.Raw)) {
-			return nil, fmt.Errorf("core: shared entry vector lengths disagree")
+			return nil, fmt.Errorf("%w: vector lengths disagree", errCorruptSharedEntry)
 		}
 		e.pd = pd
 	case sharedKindDists:
@@ -179,95 +167,11 @@ func decodeSharedEntry(data []byte) (*sharedEntry, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if !r.Done() {
-			return nil, binenc.ErrTruncated
-		}
 	default:
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return nil, fmt.Errorf("core: shared-entry kind %d", kind)
-	}
-	return e, nil
-}
-
-// encodeLeafIndexes serializes a promoted quantile index and its chunk
-// stats for the remote tier.
-func encodeLeafIndexes(q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, sharedEntryVersion)
-	b = relevance.AppendLeafQuantiles(b, q)
-	var flags byte
-	if cs != nil {
-		flags = 1
-	}
-	b = append(b, flags)
-	if cs != nil {
-		b = relevance.AppendLeafChunkStats(b, cs)
-	}
-	return b
-}
-
-// decodeLeafIndexes reverses encodeLeafIndexes.
-func decodeLeafIndexes(data []byte) (*relevance.LeafQuantiles, *relevance.LeafChunkStats, error) {
-	r := binenc.NewReader(data)
-	if ver := r.Byte(); ver != sharedEntryVersion {
-		if r.Err() != nil {
-			return nil, nil, r.Err()
-		}
-		return nil, nil, fmt.Errorf("core: leaf-index codec version %d", ver)
-	}
-	q, err := relevance.DecodeLeafQuantiles(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	var cs *relevance.LeafChunkStats
-	if r.Byte()&1 != 0 {
-		if cs, err = relevance.DecodeLeafChunkStats(r); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("%w: kind %d", errCorruptSharedEntry, kind)
 	}
 	if !r.Done() {
-		return nil, nil, binenc.ErrTruncated
+		return nil, binenc.ErrTruncated
 	}
-	return q, cs, nil
-}
-
-// remoteIndexesOf consults the remote tier for leaf indexes another
-// node has already built, attaching a hit to the resident entry (no
-// re-Put — the value came from the store) so later sessions on this
-// node hit locally.
-func (sc *SharedCache) remoteIndexesOf(key string) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
-	b := sc.backendRef()
-	if b == nil {
-		return nil, nil
-	}
-	data, ok := b.Get(remoteIndexPrefix + key)
-	if !ok {
-		sc.noteRemote(&sc.remoteMisses)
-		return nil, nil
-	}
-	q, cs, err := decodeLeafIndexes(data)
-	if err != nil {
-		sc.noteRemote(&sc.remoteMisses)
-		return nil, nil
-	}
-	sc.mu.Lock()
-	sc.remoteHits++
-	if e, ok := sc.entries[key]; ok {
-		if e.quant != nil {
-			q, cs = e.quant, e.cstats
-		} else {
-			e.quant, e.cstats = q, cs
-			grown := e.sizeBytes()
-			sc.bytes += grown - e.bytes
-			e.bytes = grown
-			sc.evictLocked()
-		}
-	}
-	sc.mu.Unlock()
-	return q, cs
+	return e, nil
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/query"
-	"repro/internal/relevance"
 )
 
 // mapBackend is an in-memory SharedBackend standing in for the network
@@ -49,7 +49,6 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 		HasRange: true,
 		Lo:       math.Inf(-1),
 		Hi:       4.5,
-		CStats:   relevance.BuildLeafChunkStats([]float64{0, 1, math.NaN(), 0.25}),
 	}
 	e := &sharedEntry{pd: pd, attr: "x", label: "x>6"}
 	data, ok := encodeSharedEntry(e)
@@ -75,8 +74,13 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if g.CStats == nil || g.CStats.Chunks() != pd.CStats.Chunks() {
-		t.Fatalf("chunk stats lost")
+	// No leaf index travels: a flag bit beyond HasRange (the chunk-stats
+	// payload no encoder writes) is refused, not trusted.
+	flagAt := 2 + 4*5 + len(e.attr) + len(e.label) + len(pd.Attr.Table) + len(pd.Attr.Attr)
+	bad := append([]byte(nil), data...)
+	bad[flagAt] |= 2
+	if _, err := decodeSharedEntry(bad); !errors.Is(err, errCorruptSharedEntry) {
+		t.Fatalf("flag bit 2: err %v", err)
 	}
 
 	// Dists-only entries round-trip too.
@@ -118,8 +122,9 @@ func TestSharedEntryCodecRefusesPushdownState(t *testing.T) {
 
 // TestRemoteBackendWarmsOtherNode: two shared tiers (two "processes")
 // over the same catalog and one backend. Work paid on node A — leaf
-// vectors, promoted quantile indexes, interior entries — serves node B
-// without recomputation, bit-identically.
+// vectors and interior entries — serves node B without recomputation,
+// bit-identically. Leaf range indexes stay node-local: node B builds
+// its own from the fetched vectors without asking the store.
 func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	// The query needs a non-root interior node (the AND under the OR):
 	// the deferred root itself is never interior-cached, so only a
@@ -139,8 +144,9 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	backend := newMapBackend()
 	opts := SharedOptions{AdmitMinCost: -1, Backend: backend}
 
-	// Node A: first run fills the backend; second run promotes the leaf
-	// indexes (and the interior entries were offered on the first).
+	// Node A: first run fills the backend with leaves and interior
+	// entries; the second run builds and promotes the chunk stats
+	// locally.
 	scA := NewSharedCacheOpts(opts)
 	eA := New(cat, nil, Options{GridW: 8, GridH: 8})
 	cA := NewRunCache()
@@ -188,16 +194,29 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 		t.Fatalf("node B counted no remote hits: %+v", st)
 	}
 
-	// Node B's second run builds no quantile index either — it reuses
-	// the ones node A promoted.
-	before := scB.Stats().RemoteHits
+	// Node B's second run reuses its leaves and builds their range and
+	// chunk indexes from the vectors it holds: it asks the store for
+	// nothing.
+	backend.mu.Lock()
+	gets := backend.gets
+	backend.mu.Unlock()
 	second, err := eB.RunCached(q2, cB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, cold, second)
-	if after := scB.Stats().RemoteHits; after <= before {
-		t.Fatalf("promoted indexes not fetched remotely: %d -> %d", before, after)
+	backend.mu.Lock()
+	gets = backend.gets - gets
+	backend.mu.Unlock()
+	if gets != 0 {
+		t.Fatalf("node B's warm rerun made %d kv gets", gets)
+	}
+	scB.mu.Lock()
+	defer scB.mu.Unlock()
+	for key, ent := range scB.entries {
+		if ent.quant == nil || ent.cstats == nil {
+			t.Fatalf("node B holds %s without locally built leaf indexes", key)
+		}
 	}
 }
 

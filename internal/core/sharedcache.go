@@ -12,7 +12,7 @@ import (
 // SharedCache is the catalog-level tier of the predicate cache: one
 // instance per catalog, attached to every session exploring that
 // catalog, so the expensive part of the feedback loop — leaf distance
-// vectors and their quantile indexes — is computed once per catalog
+// vectors and their range indexes — is computed once per catalog
 // instead of once per session. It is the first piece of the multi-
 // tenant serving architecture: N users dragging sliders over the same
 // large database share every leaf whose structural signature matches.
@@ -146,9 +146,10 @@ func NewSharedCacheOpts(o SharedOptions) *SharedCache {
 }
 
 // sharedEntry is one immutable cached leaf. Exactly one of pd and
-// dists is set; quant is attached later, when some session first
-// reuses the leaf (promotion of the quantile index to the shared
-// tier).
+// dists is set. quant, the leaf's range index, is built with the entry
+// (computed or fetched) and memoizes the ranges every session asks of
+// it; cstats is attached later, when some session first reuses the
+// leaf (promotion of its chunk stats to the shared tier).
 type sharedEntry struct {
 	pd     *predicateData
 	dists  []float64
@@ -161,7 +162,7 @@ type sharedEntry struct {
 }
 
 // sharedView is a consistent snapshot of an entry's payload, taken
-// under the cache mutex (the quant field of the entry itself may be
+// under the cache mutex (the cstats field of the entry itself may be
 // attached concurrently by another session).
 type sharedView struct {
 	pd     *predicateData
@@ -379,6 +380,15 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (*share
 		e, err = compute()
 		cost = time.Since(t0)
 	}
+	if err == nil {
+		// The range index is built with the leaf, outside the lock, so
+		// the leader's run and every waiter share one memo.
+		vec := e.dists
+		if e.pd != nil {
+			vec = e.pd.Raw
+		}
+		e.quant = relevance.BuildLeafQuantiles(vec)
+	}
 
 	sc.mu.Lock()
 	if backend != nil {
@@ -433,50 +443,40 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (*share
 	return view, remote, err
 }
 
-// indexesOf returns the promoted leaf indexes (quantiles + chunk
-// stats) for key, if any session has built them.
-func (sc *SharedCache) indexesOf(key string) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+// chunkStatsOf returns the promoted chunk stats for key, if any
+// session has built them.
+func (sc *SharedCache) chunkStatsOf(key string) *relevance.LeafChunkStats {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if e, ok := sc.entries[key]; ok {
-		return e.quant, e.cstats
+		return e.cstats
 	}
-	return nil, nil
+	return nil
 }
 
-// attachIndexes promotes freshly built leaf indexes (the quantile
-// index and the block-pruning chunk stats) to the shared tier and
-// returns the canonical ones: if another session's build won the race,
-// its indexes are returned (both are identical — the builds are
-// deterministic — so either could win; keeping the first keeps one
-// copy resident). The entry's byte accounting grows by the indexes.
-func (sc *SharedCache) attachIndexes(key string, q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+// attachChunkStats promotes freshly built chunk stats to the shared
+// tier and returns the canonical ones: if another session's build won
+// the race, its stats are returned (both are identical — the builds
+// are deterministic — so either could win; keeping the first keeps one
+// copy resident). The entry's byte accounting grows by the stats.
+// Promotion is local only: rebuilding them from the vector is cheaper
+// than a kv round trip.
+func (sc *SharedCache) attachChunkStats(key string, cs *relevance.LeafChunkStats) *relevance.LeafChunkStats {
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	e, ok := sc.entries[key]
 	if !ok {
-		sc.mu.Unlock()
-		return q, cs
+		return cs
 	}
-	if e.quant != nil {
-		q, cs := e.quant, e.cstats
-		sc.mu.Unlock()
-		return q, cs
+	if e.cstats != nil {
+		return e.cstats
 	}
-	e.quant, e.cstats = q, cs
+	e.cstats = cs
 	grown := e.sizeBytes()
 	sc.bytes += grown - e.bytes
 	e.bytes = grown
 	sc.evictLocked()
-	backend := sc.backend
-	sc.mu.Unlock()
-	// The winning build is promoted to the fleet too: quantile indexes
-	// are pure functions of the (already shared) leaf vector, so any
-	// node can reuse them for O(1) normalization ranges.
-	if backend != nil {
-		backend.Put(remoteIndexPrefix+key, encodeLeafIndexes(q, cs))
-		sc.noteRemote(&sc.remotePuts)
-	}
-	return q, cs
+	return cs
 }
 
 // InteriorOf returns the resident interior-normalization entry for

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/query"
+	"repro/internal/relevance"
 )
 
 // fillDists stores an n-float leaf vector under key via the
@@ -58,8 +59,10 @@ func residentKeys(sc *SharedCache) []string {
 
 // TestSharedCacheEviction: table-driven LRU + byte-budget eviction
 // ordering. Each op either fills a key with an n-float vector or
-// touches an existing key (refreshing its recency).
+// touches an existing key (refreshing its recency). Every entry also
+// accounts the fixed-size range index built with it (ix bytes).
 func TestSharedCacheEviction(t *testing.T) {
+	ix := int64(8 * relevance.BuildLeafQuantiles(nil).Size())
 	type op struct {
 		fill string
 		n    int
@@ -78,42 +81,42 @@ func TestSharedCacheEviction(t *testing.T) {
 			maxEntries: 2, maxBytes: 1 << 20,
 			ops:       []op{{fill: "a", n: 4}, {fill: "b", n: 4}, {fill: "c", n: 4}},
 			want:      []string{"b", "c"},
-			wantBytes: 2 * 4 * 8,
+			wantBytes: 2 * (4*8 + ix),
 		},
 		{
 			name:       "access refreshes recency",
 			maxEntries: 2, maxBytes: 1 << 20,
 			ops:       []op{{fill: "a", n: 4}, {fill: "b", n: 4}, {get: "a"}, {fill: "c", n: 4}},
 			want:      []string{"a", "c"},
-			wantBytes: 2 * 4 * 8,
+			wantBytes: 2 * (4*8 + ix),
 		},
 		{
 			name:       "byte budget evicts until under",
-			maxEntries: 64, maxBytes: 100 * 8,
+			maxEntries: 64, maxBytes: 100*8 + 2*ix,
 			ops:       []op{{fill: "a", n: 40}, {fill: "b", n: 40}, {fill: "c", n: 40}},
 			want:      []string{"b", "c"},
-			wantBytes: 80 * 8,
+			wantBytes: 80*8 + 2*ix,
 		},
 		{
 			name:       "byte budget respects recency",
-			maxEntries: 64, maxBytes: 100 * 8,
+			maxEntries: 64, maxBytes: 100*8 + 2*ix,
 			ops:       []op{{fill: "a", n: 40}, {fill: "b", n: 40}, {get: "a"}, {fill: "c", n: 40}},
 			want:      []string{"a", "c"},
-			wantBytes: 80 * 8,
+			wantBytes: 80*8 + 2*ix,
 		},
 		{
 			name:       "oversized entry cannot stay resident",
-			maxEntries: 64, maxBytes: 100 * 8,
+			maxEntries: 64, maxBytes: 100*8 + 2*ix,
 			ops:       []op{{fill: "big", n: 200}},
 			want:      []string{},
 			wantBytes: 0,
 		},
 		{
 			name:       "mixed sizes drop two small for one large",
-			maxEntries: 64, maxBytes: 100 * 8,
+			maxEntries: 64, maxBytes: 100*8 + 2*ix,
 			ops:       []op{{fill: "a", n: 30}, {fill: "b", n: 30}, {fill: "c", n: 90}},
 			want:      []string{"c"},
-			wantBytes: 90 * 8,
+			wantBytes: 90*8 + ix,
 		},
 	}
 	for _, tc := range cases {
@@ -276,7 +279,8 @@ func TestSharedCacheSignedUpgrade(t *testing.T) {
 	if sc.Len() != 1 {
 		t.Fatalf("upgrade left %d entries", sc.Len())
 	}
-	if want := int64(8 * 4); sc.Bytes() != want {
+	// Four floats plus the range index built with the entry.
+	if want := int64(8 * (4 + v.quant.Size())); sc.Bytes() != want {
 		t.Fatalf("bytes %d, want %d", sc.Bytes(), want)
 	}
 	if unsigned.pd.Signed != nil {
@@ -350,9 +354,11 @@ func TestSharedTierAcrossRunCaches(t *testing.T) {
 	}
 }
 
-// TestSharedTierPromotesQuantiles: the quantile index built by one
-// session's rerun lands in the shared tier (byte accounting grows) and
-// later sessions reuse it instead of re-sorting.
+// TestSharedTierPromotesQuantiles: every shared entry carries the range
+// index built with it; the chunk stats built by one session's rerun
+// land in the shared tier (byte accounting grows); and later sessions
+// adopt that same range index, memo included, and those chunk stats
+// instead of building their own.
 func TestSharedTierPromotesQuantiles(t *testing.T) {
 	e := New(smallCatalog(t), nil, Options{GridW: 8, GridH: 8})
 	q, err := query.Parse(`SELECT x FROM T WHERE x > 6 AND y < 5`)
@@ -366,24 +372,44 @@ func TestSharedTierPromotesQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	afterFill := sc.Bytes()
+	sc.mu.Lock()
+	for key, ent := range sc.entries {
+		if ent.quant == nil {
+			t.Errorf("shared entry %s filled without its range index", key)
+		}
+	}
+	sc.mu.Unlock()
 	// The second run hits privately and builds (then promotes) the
-	// quantile indexes.
+	// chunk stats.
 	if _, err := e.RunCached(q, c1); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Bytes() <= afterFill {
-		t.Fatalf("quantile promotion did not grow the shared tier: %d -> %d bytes", afterFill, sc.Bytes())
+		t.Fatalf("chunk-stat promotion did not grow the shared tier: %d -> %d bytes", afterFill, sc.Bytes())
 	}
-	sc.mu.Lock()
-	withQuant := 0
-	for _, ent := range sc.entries {
-		if ent.quant != nil {
-			withQuant++
+	// A second session hits the shared tier, then reuses the leaves on
+	// its rerun: it must adopt the shared indexes, not build its own.
+	c2 := NewRunCache()
+	c2.AttachShared(sc)
+	for i := 0; i < 2; i++ {
+		if _, err := e.RunCached(q, c2); err != nil {
+			t.Fatal(err)
 		}
 	}
-	sc.mu.Unlock()
-	if withQuant == 0 {
-		t.Fatal("no shared entry carries a promoted quantile index")
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	c2.mu.Lock()
+	defer c2.mu.Unlock()
+	if len(sc.entries) == 0 {
+		t.Fatal("shared tier is empty")
+	}
+	for key, ent := range sc.entries {
+		if ent.cstats == nil {
+			t.Fatalf("shared entry %s carries no promoted chunk stats", key)
+		}
+		if pe, ok := c2.entries[key]; !ok || pe.quant != ent.quant || pe.cstats != ent.cstats {
+			t.Fatalf("second session did not adopt the shared indexes for %s", key)
+		}
 	}
 }
 

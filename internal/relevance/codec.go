@@ -6,9 +6,12 @@ import (
 	"repro/internal/binenc"
 )
 
-// This file is the wire codec for the package's immutable index types —
-// LeafQuantiles, LeafChunkStats, and InteriorEntry — so a networked
-// shared tier can move them between processes. Two properties matter:
+// This file is the wire codec for InteriorEntry, the one index type of
+// the package that travels, so a networked shared tier can move it
+// between processes. (The leaf indexes, LeafQuantiles and
+// LeafChunkStats, do not: each is one O(n) scan of a vector the
+// receiver already holds, cheaper to rebuild than to fetch.) Two
+// properties matter:
 //
 //   - Bit-exactness. Every float travels as its IEEE bits (binenc.F64),
 //     so the decoded index answers Range/NormParams queries with the
@@ -24,68 +27,7 @@ import (
 // Each envelope starts with a one-byte version so formats can evolve
 // independently of the KV layer, which sees only opaque bytes.
 
-const (
-	leafQuantilesVersion  = 1
-	leafChunkStatsVersion = 1
-	interiorEntryVersion  = 1
-)
-
-// AppendLeafQuantiles appends q's envelope to b.
-func AppendLeafQuantiles(b []byte, q *LeafQuantiles) []byte {
-	b = append(b, leafQuantilesVersion)
-	b = binenc.F64(b, q.minFinite)
-	b = binenc.U32(b, uint32(q.nNegInf))
-	b = binenc.U32(b, uint32(q.nNaN))
-	return binenc.F64s(b, q.sorted)
-}
-
-// DecodeLeafQuantiles decodes an envelope produced by
-// AppendLeafQuantiles, consuming it from r.
-func DecodeLeafQuantiles(r *binenc.Reader) (*LeafQuantiles, error) {
-	if ver := r.Byte(); ver != leafQuantilesVersion {
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return nil, fmt.Errorf("relevance: leaf-quantiles codec version %d", ver)
-	}
-	q := &LeafQuantiles{}
-	q.minFinite = r.F64()
-	q.nNegInf = r.Int()
-	q.nNaN = r.Int()
-	q.sorted = r.F64s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// AppendLeafChunkStats appends s's envelope to b.
-func AppendLeafChunkStats(b []byte, s *LeafChunkStats) []byte {
-	b = append(b, leafChunkStatsVersion)
-	b = binenc.F64s(b, s.mins)
-	return binenc.I32s(b, s.nans)
-}
-
-// DecodeLeafChunkStats decodes an envelope produced by
-// AppendLeafChunkStats, consuming it from r.
-func DecodeLeafChunkStats(r *binenc.Reader) (*LeafChunkStats, error) {
-	if ver := r.Byte(); ver != leafChunkStatsVersion {
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return nil, fmt.Errorf("relevance: leaf-chunk-stats codec version %d", ver)
-	}
-	s := &LeafChunkStats{}
-	s.mins = r.F64s()
-	s.nans = r.I32s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(s.nans) != len(s.mins) {
-		return nil, fmt.Errorf("relevance: leaf-chunk-stats mins/nans length mismatch")
-	}
-	return s, nil
-}
+const interiorEntryVersion = 1
 
 func appendRangeScan(b []byte, s rangeScan) []byte {
 	b = binenc.U32(b, uint32(s.nFinite))

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/binenc"
 )
 
 // awkwardFloats returns a vector exercising every special value the
@@ -42,57 +40,6 @@ func eqBits(t *testing.T, what string, a, b []float64) {
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("%s[%d]: %x != %x", what, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
-		}
-	}
-}
-
-func TestLeafQuantilesRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{0, 1, 7, 4096, 9000} {
-		q := BuildLeafQuantiles(awkwardFloats(rng, n))
-		r := binenc.NewReader(AppendLeafQuantiles(nil, q))
-		got, err := DecodeLeafQuantiles(r)
-		if err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
-		}
-		if !r.Done() {
-			t.Fatalf("n=%d: trailing bytes", n)
-		}
-		eqBits(t, "sorted", q.sorted, got.sorted)
-		if math.Float64bits(q.minFinite) != math.Float64bits(got.minFinite) ||
-			q.nNegInf != got.nNegInf || q.nNaN != got.nNaN {
-			t.Fatalf("n=%d: scalar fields differ: %+v vs %+v", n, q, got)
-		}
-		// The decoded index must answer Range identically for any keep.
-		for _, keep := range []int{0, 1, n / 2, n} {
-			a, b := q.Range(keep), got.Range(keep)
-			if a != b && !(math.IsNaN(a.DMax) && math.IsNaN(b.DMax)) {
-				t.Fatalf("n=%d keep=%d: Range %+v != %+v", n, keep, a, b)
-			}
-		}
-	}
-}
-
-func TestLeafChunkStatsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{0, 1, 4096, 12289} {
-		s := BuildLeafChunkStats(awkwardFloats(rng, n))
-		r := binenc.NewReader(AppendLeafChunkStats(nil, s))
-		got, err := DecodeLeafChunkStats(r)
-		if err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
-		}
-		if !r.Done() {
-			t.Fatalf("n=%d: trailing bytes", n)
-		}
-		eqBits(t, "mins", s.mins, got.mins)
-		if len(s.nans) != len(got.nans) {
-			t.Fatalf("n=%d: nans length %d != %d", n, len(s.nans), len(got.nans))
-		}
-		for i := range s.nans {
-			if s.nans[i] != got.nans[i] {
-				t.Fatalf("n=%d: nans[%d] differ", n, i)
-			}
 		}
 	}
 }

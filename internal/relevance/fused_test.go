@@ -5,7 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/topk"
 )
 
 // evaluateReference is the straightforward node-at-a-time pipeline the
@@ -229,35 +232,73 @@ func TestEvaluateAllocHook(t *testing.T) {
 	sameVec(t, "combined fallback", want.Combined, got2.Combined)
 }
 
-// TestLeafQuantilesMatchNormRange: the sorted quantile index must
-// answer exactly what the scan-plus-selection path answers, for every
-// keep count, across NaN/±Inf-laced vectors.
+// sameParams compares NormParams bit for bit: a -0/+0 DMin or DMax is
+// a difference, which == on the struct would not see.
+func sameParams(a, b NormParams) bool {
+	return math.Float64bits(a.DMin) == math.Float64bits(b.DMin) &&
+		math.Float64bits(a.DMax) == math.Float64bits(b.DMax) &&
+		a.Kept == b.Kept && a.NoFinite == b.NoFinite
+}
+
+// zeroLacedDists returns n distances where signed zeros and denormals
+// are common enough to decide DMin and DMax, mixed with NaN, ±Inf and
+// ordinary signed values.
+func zeroLacedDists(rng *rand.Rand, n int) []float64 {
+	dists := make([]float64, n)
+	for i := range dists {
+		switch rng.Intn(20) {
+		case 0:
+			dists[i] = math.NaN()
+		case 1:
+			dists[i] = math.Inf(1)
+		case 2:
+			dists[i] = math.Inf(-1)
+		case 3, 4, 5:
+			dists[i] = 0
+		case 6, 7, 8:
+			dists[i] = math.Copysign(0, -1)
+		case 9:
+			dists[i] = 5e-324 * float64(1+rng.Intn(3)) // denormals
+		case 10:
+			dists[i] = -5e-324
+		default:
+			dists[i] = rng.Float64()*200 - 20
+		}
+	}
+	return dists
+}
+
+// TestLeafQuantilesMatchNormRange: the leaf index must answer exactly
+// what the scan-plus-selection path answers, bit for bit, for every
+// keep count, across NaN/±Inf/±0/
+// denormal-laced vectors — on the first ask (memo miss) and on repeats
+// after other keeps have cycled through the bounded memo.
 func TestLeafQuantilesMatchNormRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(3000)
-		dists := make([]float64, n)
-		for i := range dists {
-			switch rng.Intn(20) {
-			case 0:
-				dists[i] = math.NaN()
-			case 1:
-				dists[i] = math.Inf(1)
-			case 2:
-				dists[i] = math.Inf(-1)
-			case 3:
-				dists[i] = 0
-			default:
-				dists[i] = rng.Float64()*200 - 20
+		if trial%5 == 0 {
+			n = 4*bandSample + rng.Intn(20000) // the sampled band path
+		}
+		dists := zeroLacedDists(rng, n)
+		q := BuildLeafQuantiles(dists)
+		keeps := []int{0, 1, 2, 5, n / 8, n / 3, n / 2, n - 1, n, n + 5}
+		for i := 0; i < 2*leafMemoSize; i++ {
+			keeps = append(keeps, 1+rng.Intn(n))
+		}
+		// Three shuffled passes: the first misses, later ones hit or
+		// re-miss depending on what the memo evicted meanwhile.
+		for pass := 0; pass < 3; pass++ {
+			rng.Shuffle(len(keeps), func(i, j int) { keeps[i], keeps[j] = keeps[j], keeps[i] })
+			for _, keep := range keeps {
+				want := NormRange(dists, keep)
+				if got := q.Range(keep); !sameParams(want, got) {
+					t.Fatalf("trial %d pass %d keep %d: %+v vs %+v", trial, pass, keep, want, got)
+				}
 			}
 		}
-		q := BuildLeafQuantiles(dists)
-		for _, keep := range []int{0, 1, 2, n / 8, n / 3, n - 1, n, n + 5} {
-			want := NormRange(dists, keep)
-			got := q.Range(keep)
-			if want != got {
-				t.Fatalf("trial %d keep %d: %+v vs %+v", trial, keep, want, got)
-			}
+		if q.NaNs() != CountNaN(dists) {
+			t.Fatalf("trial %d: NaNs %d, want %d", trial, q.NaNs(), CountNaN(dists))
 		}
 	}
 	// An all-NaN/Inf vector has no finite range either way.
@@ -265,6 +306,82 @@ func TestLeafQuantilesMatchNormRange(t *testing.T) {
 	if got := BuildLeafQuantiles(deg).Range(2); !got.NoFinite {
 		t.Fatalf("degenerate vector: %+v", got)
 	}
+}
+
+// TestFiniteRankMatchesThreshold: the sampled band selection finds
+// the order statistic a quickselect on a full copy finds, on vectors
+// long enough to take the band path, in the input orders and tie
+// patterns that can defeat a systematic sample (sorted either way,
+// periodic with the sampling stride, heavy ties, specials), at ranks
+// from 1 to the finite count — and leaves its input untouched.
+func TestFiniteRankMatchesThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const n = 5*bandSample + 123
+	stride := n / bandSample
+	shapes := map[string]func(i int) float64{
+		"uniform":    func(int) float64 { return rng.Float64() },
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(n - i) },
+		"periodic":   func(i int) float64 { return float64(i % stride) },
+		"two-valued": func(int) float64 { return float64(rng.Intn(10) / 9) },
+		"constant":   func(int) float64 { return 7 },
+		"zero-laced": func(int) float64 { return zeroLacedDists(rng, 1)[0] },
+	}
+	for name, gen := range shapes {
+		dists := make([]float64, n)
+		for i := range dists {
+			dists[i] = gen(i)
+		}
+		orig := append([]float64(nil), dists...)
+		st := scanRange(dists, 0, n)
+		keeps := []int{1, 2, 5, st.nFinite / 10, st.nFinite / 2, st.nFinite - 1, st.nFinite}
+		for i := 0; i < 10; i++ {
+			keeps = append(keeps, 1+rng.Intn(st.nFinite))
+		}
+		for _, keep := range keeps {
+			want := topk.Threshold(append([]float64(nil), dists...), keep+st.nNegInf)
+			if got := finiteRank(dists, st, keep); got != want {
+				t.Fatalf("%s keep %d: %v, want %v", name, keep, got, want)
+			}
+		}
+		for i := range dists {
+			if math.Float64bits(dists[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("%s: input modified at %d", name, i)
+			}
+		}
+	}
+}
+
+// TestLeafQuantilesConcurrentRange: the shared tier hands one index to
+// many sessions, so concurrent Range calls — hits, misses and memo
+// evictions racing on one index — must all answer NormRange exactly.
+// Run under -race.
+func TestLeafQuantilesConcurrentRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const n = 20000
+	dists := zeroLacedDists(rng, n)
+	q := BuildLeafQuantiles(dists)
+	keeps := make([]int, 3*leafMemoSize)
+	want := make([]NormParams, len(keeps))
+	for i := range keeps {
+		keeps[i] = 1 + rng.Intn(n)
+		want[i] = NormRange(dists, keeps[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 4*len(keeps); r++ {
+				i := (g*7 + r*(g+1)) % len(keeps)
+				if got := q.Range(keeps[i]); !sameParams(got, want[i]) {
+					t.Errorf("goroutine %d keep %d: %+v vs %+v", g, keeps[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestLazyLeavesMatchEager: under LazyLeaves, Combined is identical,
@@ -425,4 +542,60 @@ func TestCombineLpFastPathEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameVec(t, "euclidean", want, eu)
+}
+
+// rangeLeafShapes returns the raw distances of three range-leaf shapes
+// over n rows: the drag workload's `a > 50` and `c BETWEEN 20 AND 30`
+// over uniform [0, 100) columns (half and a tenth of the rows exactly
+// 0, the rest in random order), and `t > 50` over a clustered column
+// that ascends with the row index (the traffic catalog's t), whose
+// distances arrive sorted (descending, then zeros).
+func rangeLeafShapes(n int) map[string][]float64 {
+	rng := rand.New(rand.NewSource(1994))
+	gt, between, clustered := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		if a := rng.Float64() * 100; a <= 50 {
+			gt[i] = 50 - a
+		}
+		switch c := rng.Float64() * 100; {
+		case c < 20:
+			between[i] = 20 - c
+		case c > 30:
+			between[i] = c - 30
+		}
+		if t := float64(i)/float64(n)*100 + rng.Float64(); t <= 50 {
+			clustered[i] = 50 - t
+		}
+	}
+	return map[string][]float64{"gt": gt, "between": between, "clustered": clustered}
+}
+
+// BenchmarkLeafRange measures the leaf normalization-range index on
+// 200k-row range leaves: the build (one scan), then Range on a memo hit
+// and on a memo miss (one sampled band selection) at each keep.
+func BenchmarkLeafRange(b *testing.B) {
+	const n = 200000
+	leaves := rangeLeafShapes(n)
+	for _, shape := range []string{"gt", "between", "clustered"} {
+		dists := leaves[shape]
+		b.Run(shape+"/build", func(b *testing.B) {
+			for b.Loop() {
+				BuildLeafQuantiles(dists)
+			}
+		})
+		q := BuildLeafQuantiles(dists)
+		b.Run(shape+"/hit", func(b *testing.B) {
+			q.Range(16384)
+			for b.Loop() {
+				q.Range(16384)
+			}
+		})
+		for _, keep := range []int{1, 64, 16384, n / 3} {
+			b.Run(fmt.Sprintf("%s/miss/keep=%d", shape, keep), func(b *testing.B) {
+				for b.Loop() {
+					rangeOf(q.st, dists, keep)
+				}
+			})
+		}
+	}
 }

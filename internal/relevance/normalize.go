@@ -9,7 +9,9 @@ package relevance
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"sync"
+	"unsafe"
 
 	"repro/internal/topk"
 )
@@ -224,68 +226,95 @@ func NormRange(dists []float64, keep int) NormParams {
 	return rangeOf(scanRange(dists, 0, len(dists)), dists, keep)
 }
 
-// LeafQuantiles is a sorted index over one leaf's finite distances: a
-// one-time O(n log n) investment that answers NormRange for ANY keep in
-// O(1). Weighting-factor changes move each leaf's keep count
-// (KeepCount is inverse in the weight), so an interactive session
-// builds this for its hot leaves and reruns without any per-leaf scan
-// or selection. The derived params are bit-identical to NormRange: the
-// keep-th smallest finite value is the same order statistic whichever
-// way it is found.
+// LeafQuantiles answers NormRange(dists, keep) for one hot leaf's
+// cached distance vector. Building it is one O(n) scan (the vector's
+// finite, -Inf and NaN counts and finite extremes); each keep the leaf
+// is asked for then costs one order-statistic selection, remembered in
+// a small memo. Weighting-factor changes move only the reweighted
+// leaf's keep count (KeepCount is inverse in the weight), so a
+// weight-only rerun pays at most one selection for that leaf while
+// every other leaf answers from its memo. Range runs rangeOf over the
+// indexed vector, so its params are NormRange's by construction.
+//
+// The index borrows the vector, which must stay unmodified (cached
+// leaf vectors are immutable). It is safe for concurrent use: the
+// shared tier hands one index to every session reusing the leaf.
 type LeafQuantiles struct {
-	sorted    []float64 // finite values, ascending
-	minFinite float64
-	nNegInf   int
-	nNaN      int
+	dists []float64
+	st    rangeScan
+
+	mu    sync.Mutex
+	clock uint64
+	memo  [leafMemoSize]keptRange
 }
 
-// BuildLeafQuantiles sorts the finite values of dists. The input is
-// not retained.
+// leafMemoSize bounds the keeps one index remembers: the current and
+// recent weights of one predicate across the sessions sharing it.
+const leafMemoSize = 8
+
+// keptRange is one memo slot; keep 0 marks it empty.
+type keptRange struct {
+	keep int
+	used uint64
+	p    NormParams
+}
+
+// BuildLeafQuantiles scans dists and indexes it.
 func BuildLeafQuantiles(dists []float64) *LeafQuantiles {
-	q := &LeafQuantiles{minFinite: math.Inf(1)}
-	q.sorted = make([]float64, 0, len(dists))
-	for _, d := range dists {
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			if math.IsInf(d, -1) {
-				q.nNegInf++
-			} else if !math.IsInf(d, 1) {
-				q.nNaN++
-			}
-			continue
-		}
-		q.sorted = append(q.sorted, d)
-	}
-	sort.Float64s(q.sorted)
-	if len(q.sorted) > 0 {
-		q.minFinite = q.sorted[0]
-	}
-	return q
+	return &LeafQuantiles{dists: dists, st: scanRange(dists, 0, len(dists))}
 }
 
 // NaNs reports how many of the indexed vector's entries were NaN — the
 // uncolorable count of a leaf root, answered in O(1).
-func (q *LeafQuantiles) NaNs() int { return q.nNaN }
+func (q *LeafQuantiles) NaNs() int { return q.st.nNaN }
 
-// Size returns the number of float64 values the index retains — the
-// memory accounting handle for caches that keep promoted indexes
-// resident.
-func (q *LeafQuantiles) Size() int { return len(q.sorted) }
+// Size returns the number of 8-byte words the index itself retains
+// (the borrowed vector is accounted by its owner) — the memory
+// accounting handle for caches that keep promoted indexes resident.
+func (q *LeafQuantiles) Size() int { return int(unsafe.Sizeof(*q)+7) / 8 }
 
 // Range answers NormRange(dists, keep) for the indexed vector.
 func (q *LeafQuantiles) Range(keep int) NormParams {
-	nFinite := len(q.sorted)
-	if nFinite == 0 {
-		return NormParams{NoFinite: true}
+	if keep <= 0 || keep >= q.st.nFinite {
+		// No selection: the scan alone decides.
+		return rangeOf(q.st, q.dists, keep)
 	}
-	if keep <= 0 || keep > nFinite {
-		keep = nFinite
+	q.mu.Lock()
+	if p, ok := q.lookupLocked(keep); ok {
+		q.mu.Unlock()
+		return p
 	}
-	p := NormParams{Kept: keep, DMin: q.minFinite}
-	if p.DMin > 0 {
-		p.DMin = 0
+	q.mu.Unlock()
+	// Select outside the lock: concurrent misses on different keeps
+	// proceed in parallel, and racing misses on one keep compute the
+	// same params.
+	p := rangeOf(q.st, q.dists, keep)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if _, ok := q.lookupLocked(keep); !ok {
+		victim := 0
+		for i := range q.memo {
+			if q.memo[i].used < q.memo[victim].used {
+				victim = i
+			}
+		}
+		q.clock++
+		q.memo[victim] = keptRange{keep: keep, used: q.clock, p: p}
 	}
-	p.DMax = q.sorted[keep-1]
 	return p
+}
+
+// lookupLocked returns the memoized params for keep, refreshing the
+// slot's recency; call with q.mu held.
+func (q *LeafQuantiles) lookupLocked(keep int) (NormParams, bool) {
+	for i := range q.memo {
+		if q.memo[i].keep == keep {
+			q.clock++
+			q.memo[i].used = q.clock
+			return q.memo[i].p, true
+		}
+	}
+	return NormParams{}, false
 }
 
 // LeafChunkStats summarizes one leaf's raw distances per evaluator
@@ -299,8 +328,9 @@ func (q *LeafQuantiles) Range(keep int) NormParams {
 // a combined value uncolorable there).
 //
 // Like LeafQuantiles, a LeafChunkStats is a per-leaf index the session
-// cache builds once for a hot leaf and reuses across every
-// recalculation; it must index exactly the vector it was built from.
+// cache keeps with a cached leaf (built on the leaf's first reuse) and
+// reuses across every recalculation; it must index exactly the vector
+// it was built from.
 type LeafChunkStats struct {
 	mins []float64
 	nans []int32
@@ -377,30 +407,93 @@ func rangeOf(st rangeScan, dists []float64, keep int) NormParams {
 		p.DMin = 0
 	}
 	// The normalization range only needs the keep-th smallest finite
-	// value, not a full sort of the vector. Three strategies, all
-	// returning the same order statistic: everything kept → the max from
-	// the scan; a small keep (the display-budget case) → a bounded
-	// max-heap streaming the vector in O(k) space; otherwise → an
-	// expected-O(n) quickselect over a scratch copy.
-	switch {
-	case keep >= st.nFinite:
+	// value, not a full sort of the vector: everything kept → the max
+	// from the scan; otherwise → an expected-O(n) sampled band
+	// selection.
+	if keep >= st.nFinite {
 		p.DMax = st.maxFinite
-	case keep <= st.nFinite/8:
-		sel := topk.NewBounded(keep)
-		for _, d := range dists {
-			if !math.IsInf(d, 0) { // NaNs are ignored by Offer
-				sel.Offer(d)
-			}
-		}
-		p.DMax = sel.Threshold()
-	default:
-		// Threshold orders -Inf first and NaN/+Inf past the finite
-		// values, so the keep-th smallest finite value sits at rank
-		// keep + #(-Inf) of the unfiltered copy.
-		scratch := append([]float64(nil), dists...)
-		p.DMax = topk.Threshold(scratch, keep+st.nNegInf)
+	} else {
+		p.DMax = finiteRank(dists, st, keep)
 	}
 	return p
+}
+
+// The sampled band selection of finiteRank: a systematic sample of
+// bandSample finite values, brackets bandMargin sample positions either
+// side of the target (over four standard deviations of the target's
+// sample rank), so the band holds about a tenth of the vector.
+const (
+	bandSample = 2048
+	bandMargin = 96
+)
+
+// finiteRank returns the keep-th smallest finite value of dists
+// (1 <= keep <= st.nFinite, st the scan of dists) — the value
+// topk.Threshold finds at rank keep + #(-Inf) of a copy — without
+// copying or reordering dists. The order statistics of a systematic
+// sample bracket the answer between two values lo <= hi; one pass
+// counts the values below lo, equal to lo and equal to hi and collects
+// those strictly between, and a quickselect on that band, a tenth of
+// the vector, finds it. A bracket the answer falls outside (an
+// unrepresentative sample) costs a selection on a full copy instead.
+func finiteRank(dists []float64, st rangeScan, keep int) float64 {
+	rank := keep + st.nNegInf
+	n := len(dists)
+	if n < 4*bandSample {
+		return topk.Threshold(append([]float64(nil), dists...), rank)
+	}
+	sample := make([]float64, 0, bandSample+1)
+	for i := 0; i < n; i += n / bandSample {
+		if d := dists[i]; !math.IsNaN(d) && !math.IsInf(d, 0) {
+			sample = append(sample, d)
+		}
+	}
+	slices.Sort(sample)
+	lo, hi := st.minFinite, st.maxFinite
+	if m := len(sample); m > 0 {
+		t := int(int64(keep-1) * int64(m) / int64(st.nFinite))
+		if t-bandMargin >= 0 {
+			lo = sample[t-bandMargin]
+		}
+		if t+bandMargin < m {
+			hi = sample[t+bandMargin]
+		}
+	}
+	var below, atLo, atHi int
+	band := make([]float64, 0, n/8) // the band's expected share is 2·bandMargin/bandSample
+	for _, d := range dists {
+		// -Inf counts below every finite lo, as in Threshold's order;
+		// NaN and +Inf fail every comparison. The counts are
+		// branch-free: ties at a bracket are common (exact zeros), and
+		// their order is as random as the rows'.
+		below += b2i(d < lo)
+		atLo += b2i(d == lo)
+		atHi += b2i(d == hi)
+		if b2i(d > lo)&b2i(d < hi) != 0 {
+			band = append(band, d)
+		}
+	}
+	if lo == hi {
+		atHi = 0 // counted in atLo
+	}
+	switch r := rank - below; {
+	case r <= 0:
+	case r <= atLo:
+		return lo
+	case r-atLo <= len(band):
+		return topk.Threshold(band, r-atLo)
+	case r-atLo-len(band) <= atHi:
+		return hi
+	}
+	return topk.Threshold(append([]float64(nil), dists...), rank)
+}
+
+// b2i converts a comparison to a count increment without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Normalize linearly maps dists onto [0, Scale], with the range

@@ -255,8 +255,7 @@ func (rd *rootDefer) deriveParams(cands []topk.Cand, pruned bool) NormParams {
 		// of the vector than the display budget selects). Pruning is
 		// gated off in this regime, so the full raw vector is
 		// materialized; select on it directly.
-		scratch := append([]float64(nil), rd.out...)
-		p.DMax = rd.t.apply(topk.Threshold(scratch, keep+st.nNegInf))
+		p.DMax = rd.t.apply(finiteRank(rd.out, st, keep))
 	}
 	return p
 }
@@ -408,7 +407,7 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 	// Phase 2: derive the root params (raw-domain order statistics
 	// mapped through the monotone transform).
 	if rd.combiner == cmbLeaf {
-		// params precomputed at build (quantile index or full scan).
+		// params precomputed at build (leaf range index or full scan).
 	} else if pruned > 0 {
 		rd.params = rd.deriveParams(cands, true)
 	} else {

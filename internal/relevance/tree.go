@@ -29,9 +29,10 @@ type Node struct {
 	Dists    []float64
 	Children []*Node
 	// Quantiles, when set on a leaf, answers the normalization range
-	// for any keep count in O(1) instead of a scan plus a selection —
-	// the session cache attaches it to leaves that recur across reruns.
-	// It must index exactly Dists.
+	// without a rescan and remembers the ranges it selected, so a keep
+	// count the leaf was already asked for costs nothing — the session
+	// cache attaches it to leaves that recur across reruns. It must
+	// index exactly Dists.
 	Quantiles *LeafQuantiles
 	// ChunkStats, when set on a leaf, carries the per-chunk minima and
 	// NaN counts of Dists that the block-pruning pass folds into

@@ -48,7 +48,7 @@
 // excluded), so dragging a weight slider recomputes nothing below the
 // combination stage and dragging one range slider recomputes exactly
 // one predicate. Evaluation writes into pooled buffers, hot leaves get
-// sorted quantile indexes for O(1) normalization ranges, and
+// range indexes that memoize their normalization ranges, and
 // per-predicate window vectors materialize lazily. Cached reruns are
 // bit-identical to cold runs; the trade is that a session's Result is
 // valid only until its next modification. Engine.RunCached exposes the
@@ -58,7 +58,7 @@
 //
 // Many sessions serving different users over one catalog share leaf
 // work through a catalog-level SharedCache (NewSessionShared): leaf
-// distance vectors and quantile indexes are computed once per catalog
+// distance vectors and their range indexes are computed once per catalog
 // with singleflight fills, bounded by an LRU byte budget, and every
 // entry is immutable — invalidation and eviction only unlink, so
 // concurrent readers are never affected (copy-on-invalidate). Each
@@ -215,7 +215,7 @@ var NewRunCache = core.NewRunCache
 // instance per catalog, shared by any number of concurrent sessions,
 // with singleflight fills, immutable copy-on-invalidate entries and
 // LRU + byte-budget eviction. Leaf distance vectors (and their
-// quantile indexes) are computed once per catalog instead of once per
+// range indexes) are computed once per catalog instead of once per
 // session.
 type SharedCache = core.SharedCache
 
